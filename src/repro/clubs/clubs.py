@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import bounded_reach
+from repro.core.kernels import bounded_reach, components
 from repro.graphs.graph import Graph
 
 
@@ -30,34 +30,26 @@ class NodeBudgetExceeded(RuntimeError):
         self.incumbent = incumbent
 
 
-def _far_pair(A: np.ndarray, mask: np.ndarray, h: int) -> tuple[int, int] | None:
-    """Some pair u,w in mask with d_{G[mask]}(u,w) > h, or None (=> h-club)."""
-    ids = np.flatnonzero(mask)
-    for u in ids:
-        reached, _ = bounded_reach(A, int(u), mask, h)
-        missing = mask & ~reached
-        missing[u] = False
-        if missing.any():
-            return int(u), int(np.flatnonzero(missing)[0])
-    return None
-
-
 def is_h_club(A: np.ndarray, mask: np.ndarray, h: int) -> bool:
     """True iff the induced subgraph of ``mask`` has diameter <= h."""
-    if int(mask.sum()) <= 1:
-        return True
-    return _far_pair(A, mask, h) is None
+    return _far_pair(A, mask, h, np.zeros(A.shape[0], dtype=np.int64)) is None
 
 
-def _far_counts(A: np.ndarray, mask: np.ndarray, h: int) -> np.ndarray:
-    """Per-vertex count of >h-distant partners inside the induced subgraph."""
-    n = A.shape[0]
-    cnt = np.zeros(n, dtype=np.int64)
-    size = int(mask.sum())
-    for u in np.flatnonzero(mask):
-        reached, _ = bounded_reach(A, int(u), mask, h)
-        cnt[u] = size - 1 - int((reached & mask).sum())
-    return cnt
+def _h_neighbourhoods(
+    A: np.ndarray, S: np.ndarray, h: int
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """One h-BFS inside G[S] from every vertex of S, in vertex order.
+
+    Returns each vertex's reached mask (keyed in that order) and the
+    h-degrees within G[S] (0 outside S).
+    """
+    degs = np.zeros(A.shape[0], dtype=np.int64)
+    neigh: dict[int, np.ndarray] = {}
+    for v in np.flatnonzero(S):
+        reached, _ = bounded_reach(A, int(v), S, h)
+        neigh[int(v)] = reached
+        degs[v] = int(reached.sum())
+    return neigh, degs
 
 
 def drop_heuristic(
@@ -72,8 +64,8 @@ def drop_heuristic(
     cur = mask.copy()
     iters = 0
     while int(cur.sum()) > 1:
-        cnt = _far_counts(A, cur, h)
-        cnt[~cur] = -1
+        _, degs = _h_neighbourhoods(A, cur, h)
+        cnt = np.where(cur, int(cur.sum()) - 1 - degs, -1)  # far partners
         worst = int(np.argmax(cnt))
         if cnt[worst] <= 0:
             return cur
@@ -111,24 +103,6 @@ def star_incumbent(A: np.ndarray, mask: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _components(A: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the induced subgraph, as boolean masks."""
-    comps = []
-    todo = mask.copy()
-    while todo.any():
-        v = int(np.flatnonzero(todo)[0])
-        frontier = np.zeros(A.shape[0], dtype=bool)
-        frontier[v] = True
-        seen = frontier.copy()
-        while frontier.any():
-            nxt = A[np.flatnonzero(frontier)].any(axis=0) & todo & ~seen
-            seen |= nxt
-            frontier = nxt
-        comps.append(seen)
-        todo &= ~seen
-    return comps
-
-
 def _kernelize(
     A: np.ndarray, S: np.ndarray, h: int, lower: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,14 +118,8 @@ def _kernelize(
     Returns the peeled mask and the (approximate) h-degrees within it.
     """
     S = S.copy()
-    degs = np.zeros(A.shape[0], dtype=np.int64)
-    ids = np.flatnonzero(S)
-    neigh: dict[int, np.ndarray] = {}
-    for v in ids:
-        reached, _ = bounded_reach(A, int(v), S, h)
-        neigh[int(v)] = reached
-        degs[v] = int(reached.sum())
-    stack = [int(v) for v in ids if degs[v] < lower]
+    neigh, degs = _h_neighbourhoods(A, S, h)
+    stack = [v for v in neigh if degs[v] < lower]
     queued = set(stack)
     while stack:
         v = stack.pop()
@@ -167,11 +135,13 @@ def _kernelize(
     return S, degs
 
 
-def _far_pair_from_degs(
+def _far_pair(
     A: np.ndarray, S: np.ndarray, h: int, degs: np.ndarray
 ) -> tuple[int, int] | None:
-    """Far pair scan, trying the smallest-h-degree vertices first (they are
-    the most likely to have a >h-distant partner, so the scan exits early)."""
+    """Some pair u,w in S with d_{G[S]}(u,w) > h, or None (=> S is an h-club).
+
+    Tries the smallest-h-degree vertices first (they are the most likely to
+    have a >h-distant partner, so the scan exits early)."""
     ids = np.flatnonzero(S)
     for u in ids[np.argsort(degs[ids])]:
         reached, _ = bounded_reach(A, int(u), S, h)
@@ -209,7 +179,7 @@ def _bnb(
         S, degs = _kernelize(A, S, h, lower=int(best.sum()))
         if int(S.sum()) <= int(best.sum()):
             continue
-        pair = _far_pair_from_degs(A, S, h, degs)
+        pair = _far_pair(A, S, h, degs)
         if pair is None:
             best = S
             continue
@@ -243,7 +213,9 @@ def max_h_club_dbc(
         best = np.zeros(g.n, dtype=bool)
         best[int(np.flatnonzero(full)[0])] = True
     budget = [node_budget]
-    comps = sorted(_components(A, full), key=lambda c: -int(c.sum()))
+    label = components(A, full)
+    comps = [label == r for r in np.unique(label[label >= 0])]
+    comps.sort(key=lambda c: -int(c.sum()))
     for comp in comps:
         if int(comp.sum()) <= int(best.sum()):
             break
@@ -281,12 +253,7 @@ def max_h_club_itdbc(
         return best
     if not best.any():
         best = star_incumbent(A, full, h)
-    hdeg = np.zeros(g.n, dtype=np.int64)
-    neigh: dict[int, np.ndarray] = {}
-    for v in ids:
-        reached, _ = bounded_reach(A, int(v), full, h)
-        neigh[int(v)] = reached
-        hdeg[v] = int(reached.sum())
+    neigh, hdeg = _h_neighbourhoods(A, full, h)
     order = ids[np.argsort(-hdeg[ids])]
     budget = [node_budget]
     for v in order:

@@ -11,20 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import h_lb_ub
+from repro.core.kernels import components
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
-
-
-def _component_of(A: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
-    """Connected component of ``start`` inside the induced subgraph."""
-    frontier = np.zeros(A.shape[0], dtype=bool)
-    frontier[start] = True
-    seen = frontier.copy()
-    while frontier.any():
-        nxt = A[np.flatnonzero(frontier)].any(axis=0) & mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
 
 
 def cocktail_party(
@@ -43,10 +32,8 @@ def cocktail_party(
     core = decomposition.core
     q = np.asarray(query, dtype=np.int64)
     k_max = int(core[q].min())  # Q must survive in the core, so k <= min core(Q)
-    A = g.adjacency
     for k in range(k_max, -1, -1):
-        mask = core >= k
-        comp = _component_of(A, mask, int(q[0]))
-        if mask[q].all() and comp[q].all():
-            return comp, k
+        label = components(g.adjacency, core >= k)
+        if (label[q] == label[q[0]]).all():
+            return label == label[q[0]], k
     return np.zeros(g.n, dtype=bool), -1

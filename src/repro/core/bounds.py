@@ -100,11 +100,3 @@ def upper_bound(
                 ubdeg[u] -= 1
                 bk.move(int(u), max(int(ubdeg[u]), k))
     return ub
-
-
-def h_degree_as_ub(
-    A: np.ndarray, h: int, counter: Counter | None = None, spark=None
-) -> np.ndarray:
-    """The baseline upper bound of §6.3: a vertex's h-degree in G."""
-    n = A.shape[0]
-    return batch_h_degrees(A, np.ones(n, dtype=bool), h, counter, spark)

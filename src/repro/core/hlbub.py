@@ -180,12 +180,13 @@ def h_lb_ub(
     if parallel == "intervals":
         if spark is None:
             raise ValueError("parallel='intervals' requires a SparkSession")
-        core, n_tasks = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
+        core, visits, bfs_calls = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
+        counter.merge_batch(visits, bfs_calls)
         return CoreResult(
             core=core, h=h, algo="h-LB+UB[spark-intervals]",
             visits=counter.visits, bfs_calls=counter.bfs_calls,
             runtime_s=time.monotonic() - t0,
-            extra={"intervals": intervals, "tasks": n_tasks, "ub": ub, "lb2": lb2},
+            extra={"intervals": intervals, "tasks": len(intervals), "ub": ub, "lb2": lb2},
         )
 
     core = np.zeros(n, dtype=np.int64)
@@ -210,7 +211,7 @@ def h_lb_ub(
 def _run_intervals_spark(
     spark, g: Graph, h: int, intervals: list[tuple[int, int]],
     ub: np.ndarray, lb2: np.ndarray,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
     """Paper §4.6 option 1: run each interval as an independent Spark task.
 
     Each task re-derives its V[kmin] from the broadcast UB vector, runs
@@ -219,15 +220,14 @@ def _run_intervals_spark(
     vertices with higher core indexes keep being re-bucketed above kmax and
     are simply left for the task owning their interval. The union over tasks
     is the full decomposition (tested equal to the sequential mode).
+
+    Each task also emits one row with ``v = -1`` carrying its visits and BFS
+    calls. Returns ``(core, visits, bfs_calls)``; raises RuntimeError unless
+    every interval reported and every vertex was assigned by exactly one task.
     """
     import pandas as pd
 
     n = g.n
-    sc = spark.sparkContext
-    b_adj = sc.broadcast(pack_adjacency(g.adjacency))
-    b_ub = sc.broadcast(ub.tolist())
-    b_lb2 = sc.broadcast(lb2.tolist())
-
     idf = spark.createDataFrame(
         pd.DataFrame(
             {
@@ -237,11 +237,16 @@ def _run_intervals_spark(
             }
         )
     ).repartition(len(intervals), "iid")
+    sc = spark.sparkContext
+    b_adj = sc.broadcast(pack_adjacency(g.adjacency))
+    b_ub = sc.broadcast(ub.tolist())
+    b_lb2 = sc.broadcast(lb2.tolist())
 
     def run_one(pdf: pd.DataFrame) -> pd.DataFrame:
         A_task = unpack_adjacency(b_adj.value, n)
         ub_t = np.asarray(b_ub.value, dtype=np.int64)
         lb2_t = np.asarray(b_lb2.value, dtype=np.int64)
+        counter = Counter()
         out_v: list[int] = []
         out_c: list[int] = []
         for row in pdf.itertuples(index=False):
@@ -251,20 +256,35 @@ def _run_intervals_spark(
             lb3_t = np.zeros(n, dtype=np.int64)
             _run_interval(
                 A_task, h, kmin, kmax, ub_t, lb2_t, core_t, assigned_t,
-                lb3_t, counter=None,
+                lb3_t, counter,
             )
             for v in np.flatnonzero(assigned_t):
                 out_v.append(int(v))
                 out_c.append(int(core_t[v]))
-        return pd.DataFrame({"v": pd.Series(out_v, dtype="int64"),
-                             "core": pd.Series(out_c, dtype="int64")})
+        pad = [0] * len(out_v)
+        return pd.DataFrame({
+            "v": out_v + [-1], "core": out_c + [-1],
+            "visits": pad + [counter.visits], "bfs_calls": pad + [counter.bfs_calls],
+        }, dtype="int64")
 
-    rows = (
-        idf.groupBy("iid")
-        .applyInPandas(run_one, schema="v long, core long")
-        .toPandas()
-    )
+    try:
+        rows = (
+            idf.groupBy("iid")
+            .applyInPandas(run_one, schema="v long, core long, visits long, bfs_calls long")
+            .toPandas()
+        )
+    finally:
+        for b in (b_adj, b_ub, b_lb2):
+            b.destroy()
+    v = rows["v"].to_numpy()
+    tasks = v < 0
+    times = np.bincount(v[~tasks], minlength=n)
+    if int(tasks.sum()) != len(intervals) or (times != 1).any():
+        raise RuntimeError(
+            f"interval tasks: {int(tasks.sum())} of {len(intervals)} reported; "
+            f"{int((times == 0).sum())} vertices unassigned, "
+            f"{int((times > 1).sum())} assigned more than once"
+        )
     core = np.zeros(n, dtype=np.int64)
-    if len(rows):
-        core[rows["v"].to_numpy()] = rows["core"].to_numpy()
-    return core, len(intervals)
+    core[v[~tasks]] = rows["core"].to_numpy()[~tasks]
+    return core, int(rows["visits"].sum()), int(rows["bfs_calls"].sum())

@@ -1,16 +1,19 @@
-"""Instrumented h-bounded BFS kernels.
+"""BFS kernels: the one module that walks the dense adjacency.
 
 The paper's efficiency metric (Table 3) is "the total number of computed
 point-to-point distances (i.e., the total number of possibly repeated
-vertices visited in all h-bfs)". Every kernel here charges that count to a
-:class:`Counter`, which can also enforce a visit budget and a wall-clock
-deadline so that the paper's "NT" (did-not-terminate) cells can be
-reproduced deterministically instead of waiting 20 hours.
+vertices visited in all h-bfs)". :func:`bounded_reach`, the h-BFS of every
+algorithm, charges that count to a :class:`Counter`, which can also enforce
+a visit budget and a wall-clock deadline so that the paper's "NT"
+(did-not-terminate) cells can be reproduced deterministically instead of
+waiting 20 hours. :func:`bfs_levels` is the uncounted, unbounded BFS behind
+:func:`components` and :func:`distance_matrix`.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,15 +41,10 @@ class Counter:
 
     def charge(self, visits: int) -> None:
         """Record one BFS traversal that scanned ``visits`` vertices."""
-        self.visits += int(visits)
-        self.bfs_calls += 1
-        if self.visit_budget is not None and self.visits > self.visit_budget:
-            raise BudgetExceeded(f"visit budget exceeded: {self.visits}")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("wall-clock budget exceeded")
+        self.merge_batch(visits, 1)
 
     def merge_batch(self, visits: int, bfs_calls: int) -> None:
-        """Fold in work done remotely (e.g. by Spark tasks)."""
+        """Fold in ``bfs_calls`` traversals, e.g. done remotely by Spark tasks."""
         self.visits += int(visits)
         self.bfs_calls += int(bfs_calls)
         if self.visit_budget is not None and self.visits > self.visit_budget:
@@ -106,34 +104,51 @@ def bounded_reach(
     return reached, at_h
 
 
-def h_degree(
-    A: np.ndarray, v: int, alive: np.ndarray, h: int, counter: Counter | None = None
-) -> int:
-    """Size of the h-neighborhood of ``v`` in the alive-induced subgraph."""
-    reached, _ = bounded_reach(A, v, alive, h, counter)
-    return int(reached.sum())
-
-
 def all_h_degrees(
-    A: np.ndarray,
-    alive: np.ndarray,
-    h: int,
-    counter: Counter | None = None,
-    vertices: np.ndarray | None = None,
+    A: np.ndarray, alive: np.ndarray, h: int, counter: Counter | None = None
 ) -> np.ndarray:
-    """h-degrees of ``vertices`` (default: every alive vertex).
+    """h-degrees of every alive vertex in the alive-induced subgraph.
 
-    Returns a full-length int64 array; entries for vertices not computed
-    are 0. This is the batch the paper parallelizes in §4.6 — the Spark
-    fan-out lives in :mod:`repro.pregel.hdegree` and produces identical
-    values (tested).
+    Returns a full-length int64 array, 0 outside ``alive``. This is the
+    batch the paper parallelizes in §4.6 — the Spark fan-out lives in
+    :mod:`repro.pregel.hdegree` and produces identical values (tested).
     """
-    n = A.shape[0]
-    out = np.zeros(n, dtype=np.int64)
-    vs = np.flatnonzero(alive) if vertices is None else np.asarray(vertices)
-    for v in vs:
-        out[v] = h_degree(A, int(v), alive, h, counter)
+    out = np.zeros(A.shape[0], dtype=np.int64)
+    for v in np.flatnonzero(alive):
+        reached, _ = bounded_reach(A, int(v), alive, h, counter)
+        out[v] = int(reached.sum())
     return out
+
+
+def bfs_levels(A: np.ndarray, source: int, alive: np.ndarray) -> Iterator[np.ndarray]:
+    """Unbounded, uncounted BFS from ``source`` over the alive-induced subgraph.
+
+    Yields the vertex ids of one level at a time: level 0 is ``[source]``,
+    level d the alive vertices at distance exactly d. For the small graphs of
+    tests, metrics and applications; decomposition work goes through
+    :func:`bounded_reach`, which counts it.
+    """
+    todo = alive.copy()  # alive and not yet reached
+    ids = np.array([source])
+    todo[source] = False
+    while len(ids):
+        yield ids
+        ids = np.flatnonzero(A[ids].any(axis=0) & todo)
+        todo[ids] = False
+
+
+def components(A: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Connected components of the alive-induced subgraph.
+
+    Labels each alive vertex with the smallest vertex id in its component,
+    and every other vertex with -1.
+    """
+    label = np.full(A.shape[0], -1, dtype=np.int64)
+    for v in np.flatnonzero(alive):
+        if label[v] < 0:
+            for ids in bfs_levels(A, int(v), alive):
+                label[ids] = v
+    return label
 
 
 def distance_matrix(A: np.ndarray, alive: np.ndarray | None = None) -> np.ndarray:
@@ -148,18 +163,8 @@ def distance_matrix(A: np.ndarray, alive: np.ndarray | None = None) -> np.ndarra
         alive = np.ones(n, dtype=bool)
     dist = np.full((n, n), -1, dtype=np.int32)
     for v in np.flatnonzero(alive):
-        dist[v, v] = 0
-        frontier = A[v] & alive
-        d = 1
-        reached = frontier.copy()
-        reached[v] = True
-        while frontier.any():
-            dist[v, frontier] = d
-            rows = A[np.flatnonzero(frontier)]
-            nxt = (rows & alive).any(axis=0) & ~reached
-            reached |= nxt
-            frontier = nxt
-            d += 1
+        for d, ids in enumerate(bfs_levels(A, int(v), alive)):
+            dist[v, ids] = d
     return dist
 
 

@@ -65,14 +65,9 @@ def copurchase_graph(
         .where(F.col("n_orders") >= min_copurchases)
         .select("p1", "p2")
     )
-    pdf = pairs.toPandas()
-    keys = np.unique(pdf[["p1", "p2"]].to_numpy().ravel()) if len(pdf) else np.array([], dtype=np.int64)
-    remap = {int(k): i for i, k in enumerate(keys)}
-    edges = np.array(
-        [[remap[int(r.p1)], remap[int(r.p2)]] for r in pdf.itertuples(index=False)],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    return Graph.from_edges(len(keys), edges), pairs
+    pairs_np = pairs.toPandas()[["p1", "p2"]].to_numpy(dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(pairs_np)
+    return Graph.from_edges(len(keys), np.searchsorted(keys, pairs_np)), pairs
 
 
 def connected_components_df(spark: SparkSession, g: Graph) -> DataFrame:

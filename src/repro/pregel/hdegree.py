@@ -65,16 +65,16 @@ def h_degrees_spark(
     the remote BFS work for the caller's Counter (paper's Table-3 metric).
     """
     n = A.shape[0]
-    sc = spark.sparkContext
-    b_adj = sc.broadcast(pack_adjacency(A))
-    b_alive = sc.broadcast(np.packbits(alive).tobytes())
     ids = np.flatnonzero(alive)
     if len(ids) == 0:
         return np.zeros(n, dtype=np.int64), 0, 0
+    sc = spark.sparkContext
     parts = chunk_partitions or min(
         int(sc.defaultParallelism), max(1, len(ids) // 64)
     )
     vdf = spark.createDataFrame(pd.DataFrame({"v": ids})).repartition(parts)
+    b_adj = sc.broadcast(pack_adjacency(A))
+    b_alive = sc.broadcast(np.packbits(alive).tobytes())
 
     def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         from repro.core.kernels import Counter
@@ -94,7 +94,11 @@ def h_degrees_spark(
                 visits[i] = c.visits
             yield pd.DataFrame({"v": vs, "hdeg": degs, "visits": visits})
 
-    out = vdf.mapInPandas(compute, schema="v long, hdeg long, visits long").toPandas()
+    try:
+        out = vdf.mapInPandas(compute, schema="v long, hdeg long, visits long").toPandas()
+    finally:
+        b_adj.destroy()
+        b_alive.destroy()
     degrees = np.zeros(n, dtype=np.int64)
     degrees[out["v"].to_numpy()] = out["hdeg"].to_numpy()
     return degrees, int(out["visits"].sum()), len(out)

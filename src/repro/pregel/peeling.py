@@ -17,7 +17,8 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import Counter, all_h_degrees
+from repro.core.bounds import batch_h_degrees
+from repro.core.kernels import Counter
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -40,13 +41,7 @@ def kh_core_bsp(
     def degrees() -> np.ndarray:
         nonlocal rounds
         rounds += 1
-        if spark is not None:
-            from repro.pregel.hdegree import h_degrees_spark
-
-            degs, visits, calls = h_degrees_spark(spark, A, alive, h)
-            counter.merge_batch(visits, calls)
-            return degs
-        return all_h_degrees(A, alive, h, counter)
+        return batch_h_degrees(A, alive, h, counter, spark)
 
     degs = degrees()
     k = 1

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.cocktail import cocktail_party
-from repro.core.kernels import all_h_degrees
+from repro.core.kernels import all_h_degrees, components
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 
@@ -37,10 +37,8 @@ def test_optimality_vs_bruteforce(seed):
             trial[q] = True
             trial[list(extra)] = True
             # connectivity of the induced subgraph containing q
-            from repro.cocktail.cocktail import _component_of
-
-            comp = _component_of(g.adjacency, trial, q[0])
-            if not (comp[q].all() and (comp == trial).all()):
+            label = components(g.adjacency, trial)
+            if not (label[trial] == label[q[0]]).all():
                 continue
             degs = all_h_degrees(g.adjacency, trial, h)
             best = max(best, int(degs[trial].min()))

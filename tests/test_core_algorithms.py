@@ -10,6 +10,7 @@ from repro.core.reference import (
     kh_core_members,
     power_graph,
 )
+from repro.graphs.datasets import load
 from repro.graphs.graph import Graph
 from tests.conftest import small_graph
 
@@ -29,6 +30,22 @@ def test_algorithms_match_brute_force(algo, model, seed, h):
     ref = brute_force_cores(g, h)
     got = ALGOS[algo](g, h).core
     assert np.array_equal(got, ref), (algo, model, seed, h)
+
+
+# (visits, bfs_calls) on rnPA. The visits are the paper's metric as
+# results/table3_efficiency.txt reports it; a kernel or engine change that
+# moves either number has changed the algorithm, not sped it up.
+RNPA_WORK = {
+    2: {"h-BZ": (81_999, 8_530), "h-LB": (50_736, 7_873), "h-LB+UB": (160_898, 17_405)},
+    3: {"h-BZ": (322_377, 13_643), "h-LB": (201_776, 11_388), "h-LB+UB": (466_224, 21_098)},
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+@pytest.mark.parametrize("h", [2, 3])
+def test_rnpa_work_matches_table3(algo, h):
+    res = ALGOS[algo](load("rnPA"), h)
+    assert (res.visits, res.bfs_calls) == RNPA_WORK[h][algo]
 
 
 @pytest.mark.parametrize("algo", sorted(ALGOS))

@@ -1,4 +1,7 @@
-"""h-bounded BFS kernels: reach masks, exact-distance masks, counters, budgets."""
+"""BFS kernels: reach masks, exact-distance masks, counters, budgets, level
+BFS, components, and the rule that no other module walks the adjacency."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,10 @@ from repro.core.kernels import (
     BudgetExceeded,
     Counter,
     all_h_degrees,
+    bfs_levels,
     bounded_reach,
+    components,
     distance_matrix,
-    h_degree,
 )
 from tests.conftest import small_graph
 
@@ -60,16 +64,15 @@ def test_bounded_reach_h_zero_and_h_one(path_graph):
 def test_h_degree_path(path_graph):
     A = path_graph.adjacency
     alive = np.ones(5, dtype=bool)
-    assert h_degree(A, 0, alive, 2) == 2
-    assert h_degree(A, 2, alive, 2) == 4
-    assert h_degree(A, 2, alive, 4) == 4
+    assert all_h_degrees(A, alive, 2).tolist() == [2, 3, 4, 3, 2]
+    assert all_h_degrees(A, alive, 4).tolist() == [4, 4, 4, 4, 4]
 
 
 def test_all_h_degrees_subset(path_graph):
     A = path_graph.adjacency
-    alive = np.ones(5, dtype=bool)
-    out = all_h_degrees(A, alive, 2, vertices=np.array([0, 2]))
-    assert out[0] == 2 and out[2] == 4 and out[1] == 0  # 1 not computed
+    alive = np.array([True, True, False, True, True])
+    out = all_h_degrees(A, alive, 2)
+    assert out.tolist() == [1, 1, 0, 1, 1]  # 2 is dead: not computed, not a path
 
 
 def test_counter_counts_visits(star_graph):
@@ -117,9 +120,53 @@ def test_distance_matrix_disconnected():
     assert dist[0, 1] == 1
 
 
+def test_bfs_levels_path(path_graph):
+    alive = np.array([True, True, True, True, False])
+    levels = [ids.tolist() for ids in bfs_levels(path_graph.adjacency, 1, alive)]
+    assert levels == [[1], [0, 2], [3]]  # 4 is dead
+
+
+def test_components_labels_and_mask():
+    from repro.graphs.graph import Graph
+
+    g = Graph.from_edges(7, np.array([[0, 1], [1, 2], [3, 4], [5, 6]]))
+    alive = np.ones(7, dtype=bool)
+    assert components(g.adjacency, alive).tolist() == [0, 0, 0, 3, 3, 5, 5]
+    alive[[1, 5]] = False  # splits {0,1,2}; leaves 6 alone
+    assert components(g.adjacency, alive).tolist() == [0, -1, 2, 3, 3, -1, 6]
+
+
+@pytest.mark.parametrize("model", ["er", "ba", "ws", "grid"])
+def test_components_match_distance_matrix(model):
+    g = small_graph(model, 1)
+    alive = np.ones(g.n, dtype=bool)
+    alive[::5] = False
+    dist = distance_matrix(g.adjacency, alive)
+    label = components(g.adjacency, alive)
+    for v in range(g.n):
+        if alive[v]:
+            assert label[v] == np.flatnonzero(dist[v] >= 0).min()
+        else:
+            assert label[v] == -1
+
+
 def test_distance_matrix_alive_mask(path_graph):
     alive = np.array([True, True, False, True, True])
     dist = distance_matrix(path_graph.adjacency, alive)
     assert dist[0, 1] == 1
     assert dist[0, 3] == -1  # severed by removing vertex 2
     assert (dist[2] == -1).all()
+
+
+def test_only_kernels_expand_frontiers():
+    """Every BFS over the adjacency lives in repro.core.kernels, so a kernel
+    change (batched BFS, sparse adjacency) touches one module."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = [
+        str(p.relative_to(root))
+        for p in sorted(root.rglob("*.py"))
+        if ".any(axis=0)" in p.read_text() and p != root / "core" / "kernels.py"
+    ]
+    assert offenders == []

@@ -102,6 +102,39 @@ def test_hlbub_spark_intervals_matches(spark):
         assert res.extra["tasks"] >= 1
 
 
+def test_hlbub_spark_intervals_raises_on_unassigned_vertices(spark):
+    from repro.core.hlbub import _run_intervals_spark
+
+    g = barabasi_albert(40, 2, seed=6)
+    res = h_lb_ub(g, 2, s=2)
+    intervals, ub, lb2 = res.extra["intervals"], res.extra["ub"], res.extra["lb2"]
+    assert len(intervals) > 1
+    with pytest.raises(RuntimeError, match="unassigned"):
+        _run_intervals_spark(spark, g, 2, intervals[:-1], ub, lb2)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_hlbub_spark_intervals_counts_task_work(spark, h):
+    """Interval-mode work = the driver's bound phases + each interval's
+    ImproveLB and CoreDecomp replayed locally from fresh state."""
+    from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
+    from repro.core.hlbub import _run_interval
+    from repro.core.kernels import Counter
+
+    g = barabasi_albert(40, 2, seed=6)
+    res = h_lb_ub(g, h, s=2, spark=spark, parallel="intervals")
+    A, c = g.adjacency, Counter()
+    deg0 = batch_h_degrees(A, np.ones(g.n, dtype=bool), h, c)
+    _, lb2 = lower_bounds(A, h, c)
+    ub = upper_bound(A, h, c, init_h_degrees=deg0)
+    for kmin, kmax in res.extra["intervals"]:
+        _run_interval(
+            A, h, kmin, kmax, ub, lb2, np.zeros(g.n, dtype=np.int64),
+            np.zeros(g.n, dtype=bool), np.zeros(g.n, dtype=np.int64), c,
+        )
+    assert (res.visits, res.bfs_calls) == (c.visits, c.bfs_calls)
+
+
 def test_hlbub_spark_hdegree_matches(spark):
     g = erdos_renyi(30, 0.15, seed=7)
     ref = brute_force_cores(g, 2)
