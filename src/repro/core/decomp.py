@@ -10,14 +10,17 @@ upper-bound partition). Semantics follow the paper:
   assigned iff k >= kmin (otherwise a later partition will assign it), and
   the h-degrees of its still-bounded-free h-neighbors are updated — by a
   full h-BFS when d(u,v) < h, by a O(1) decrement when d(u,v) == h exactly
-  (Alg. 3 line 17).
+  (Alg. 3 line 17). The full h-BFS runs of one deletion share one alive mask,
+  so they go to :func:`~repro.core.kernels.batch_reach_counts` as one batch;
+  the bucket moves then follow in ascending vertex order, as one h-BFS per
+  neighbour would make them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.buckets import Buckets
-from repro.core.kernels import Counter, bounded_reach
+from repro.core.kernels import Counter, batch_reach_counts, bounded_reach
 
 
 def core_decomp(
@@ -33,7 +36,7 @@ def core_decomp(
     deg: np.ndarray,
     counter: Counter | None = None,
     order: list[int] | None = None,
-) -> None:
+) -> dict[str, int]:
     """Peel ``alive`` in bucket order, assigning cores in [kmin, kmax].
 
     Args:
@@ -45,7 +48,15 @@ def core_decomp(
         core/assigned: mutated in place for vertices peeled at k >= kmin.
         deg: scratch h-degree array, valid only where ``setlb`` is False.
         order: if given, append vertices in peel order (global peels only).
+
+    Returns:
+        The peel's event mix: ``lazy_pops`` (bound-only vertices whose
+        h-degree was computed on reaching the front), ``peels``,
+        ``recomputes`` (neighbour h-degrees recomputed by h-BFS),
+        ``decrements`` (line-17 updates) and ``batches`` (non-empty
+        recompute batches). Each lazy pop, peel and recompute is one h-BFS.
     """
+    events = dict.fromkeys(PEEL_EVENTS, 0)
     for k in range(max(0, kmin - 1), kmax + 1):
         while bk.nonempty(k):
             v = bk.pop(k)
@@ -58,6 +69,7 @@ def core_decomp(
                 # for partition stragglers whose true core is below kmin.
                 bk.add(v, max(d, k))
                 setlb[v] = False
+                events["lazy_pops"] += 1
                 continue
             if k >= kmin:
                 core[v] = k
@@ -67,13 +79,20 @@ def core_decomp(
             setlb[v] = True
             reached, at_h = bounded_reach(A, v, alive, h, counter)
             alive[v] = False
-            for u in np.flatnonzero(reached):
-                u = int(u)
-                if setlb[u]:
-                    continue
-                if at_h[u]:
-                    deg[u] -= 1
-                else:
-                    r2, _ = bounded_reach(A, u, alive, h, counter)
-                    deg[u] = int(r2.sum())
+            events["peels"] += 1
+            nbrs = np.flatnonzero(reached)
+            nbrs = nbrs[~setlb[nbrs]]
+            far = at_h[nbrs]
+            near = nbrs[~far]
+            deg[nbrs[far]] -= 1
+            if len(near):
+                deg[near] = batch_reach_counts(A, near, alive, h, counter)
+                events["batches"] += 1
+            events["recomputes"] += len(near)
+            events["decrements"] += len(nbrs) - len(near)
+            for u in nbrs.tolist():
                 bk.move(u, max(int(deg[u]), k))
+    return events
+
+
+PEEL_EVENTS = ("lazy_pops", "peels", "recomputes", "decrements", "batches")

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.bounds import batch_h_degrees
 from repro.core.buckets import Buckets
-from repro.core.kernels import Counter, bounded_reach
+from repro.core.kernels import Counter, batch_reach_counts, bounded_reach
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph
 
@@ -42,9 +42,10 @@ def h_bz(
             order.append(v)
             reached, _ = bounded_reach(A, v, alive, h, counter)
             alive[v] = False
-            for u in np.flatnonzero(reached):
-                r2, _ = bounded_reach(A, int(u), alive, h, counter)
-                bk.move(int(u), max(int(r2.sum()), k))
+            nbrs = np.flatnonzero(reached)
+            degs = batch_reach_counts(A, nbrs, alive, h, counter)
+            for u, d in zip(nbrs.tolist(), degs.tolist()):
+                bk.move(u, max(d, k))
     return CoreResult(
         core=core,
         h=h,

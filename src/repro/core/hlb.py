@@ -35,6 +35,9 @@ def h_lb(
         lb: which lower bound seeds the buckets — "lb2" (the paper's h-LB),
             "lb1" (Table 5 ablation), or "none" (every vertex starts at 0;
             degenerates to h-BZ plus one lazy recomputation per vertex).
+
+    ``extra["peel"]`` is the peel's event mix, as returned by
+    :func:`~repro.core.decomp.core_decomp`.
     """
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
@@ -54,7 +57,7 @@ def h_lb(
     assigned = np.zeros(n, dtype=bool)
     deg = np.zeros(n, dtype=np.int64)
     order: list[int] = []
-    core_decomp(
+    peel = core_decomp(
         A, h, kmin=0, kmax=n, bk=bk, setlb=setlb, alive=alive,
         core=core, assigned=assigned, deg=deg, counter=counter, order=order,
     )
@@ -66,5 +69,5 @@ def h_lb(
         bfs_calls=counter.bfs_calls,
         runtime_s=time.monotonic() - t0,
         order=order,
-        extra={"lb": lb_vec},
+        extra={"lb": lb_vec, "peel": peel},
     )

@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.core.buckets import Buckets
 from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
-from repro.core.decomp import core_decomp
-from repro.core.kernels import Counter, bounded_reach
+from repro.core.decomp import PEEL_EVENTS, core_decomp
+from repro.core.kernels import BudgetExceeded, Counter, bounded_reach, timed_deadline
 from repro.core.types import CoreResult
 from repro.graphs.graph import Graph, pack_adjacency, unpack_adjacency
 
@@ -114,14 +114,17 @@ def _run_interval(
     lb3_acc: np.ndarray,
     counter: Counter | None,
     spark=None,
-) -> None:
-    """Process one partition (Algorithm 4 lines 12–18); mutates core/assigned."""
+) -> dict[str, int]:
+    """Process one partition (Algorithm 4 lines 12–18); mutates core/assigned.
+
+    Returns the partition's peel event mix (see :func:`core_decomp`).
+    """
     n = A.shape[0]
     vk = ub >= kmin
     vk, lb3_star, _ = improve_lb(A, h, vk, kmin, lb2, counter, spark)
     ids = np.flatnonzero(vk)
     if len(ids) == 0:
-        return
+        return dict.fromkeys(PEEL_EVENTS, 0)
     lb3_acc[ids] = np.maximum(lb3_acc[ids], lb3_star[ids])
     bk = Buckets(n)
     setlb = np.ones(n, dtype=bool)
@@ -131,7 +134,7 @@ def _run_interval(
         bk.add(v, max(base, int(lb3_acc[v]), kmin - 1, 0))
     alive = vk.copy()
     deg = np.zeros(n, dtype=np.int64)
-    core_decomp(
+    return core_decomp(
         A, h, kmin=kmin, kmax=kmax, bk=bk, setlb=setlb, alive=alive,
         core=core, assigned=assigned, deg=deg, counter=counter,
     )
@@ -160,6 +163,11 @@ def h_lb_ub(
            (independent interval sub-computations as Spark tasks).
         ub_kind: "ub" = Algorithm 5's power-graph bound (the paper's h-LB+UB);
            "hdegree" = the plain h-degree baseline bound (Table 5 ablation).
+
+    ``extra["peel"]`` sums the intervals' peel event mixes (see
+    :func:`~repro.core.decomp.core_decomp`). In ``parallel="intervals"``
+    mode each task gets what is left of ``counter``'s visit budget and
+    deadline, and :class:`BudgetExceeded` is raised if any task runs out.
     """
     t0 = time.monotonic()
     counter = counter if counter is not None else Counter()
@@ -180,23 +188,26 @@ def h_lb_ub(
     if parallel == "intervals":
         if spark is None:
             raise ValueError("parallel='intervals' requires a SparkSession")
-        core, visits, bfs_calls = _run_intervals_spark(spark, g, h, intervals, ub, lb2)
-        counter.merge_batch(visits, bfs_calls)
+        core, peel = _run_intervals_spark(spark, g, h, intervals, ub, lb2, counter)
         return CoreResult(
             core=core, h=h, algo="h-LB+UB[spark-intervals]",
             visits=counter.visits, bfs_calls=counter.bfs_calls,
             runtime_s=time.monotonic() - t0,
-            extra={"intervals": intervals, "tasks": len(intervals), "ub": ub, "lb2": lb2},
+            extra={"intervals": intervals, "tasks": len(intervals), "ub": ub,
+                   "lb2": lb2, "peel": peel},
         )
 
     core = np.zeros(n, dtype=np.int64)
     assigned = np.zeros(n, dtype=bool)
     lb3_acc = np.zeros(n, dtype=np.int64)
+    peel = dict.fromkeys(PEEL_EVENTS, 0)
     for kmin, kmax in intervals:
-        _run_interval(
+        events = _run_interval(
             A, h, kmin, kmax, ub, lb2, core, assigned, lb3_acc, counter,
             spark_for_batches,
         )
+        for key, count in events.items():
+            peel[key] += count
     name = "h-LB+UB" if ub_kind == "ub" else "h-LB+UB[hdeg]"
     if parallel == "hdegree":
         name += "[spark-hdeg]"
@@ -204,14 +215,14 @@ def h_lb_ub(
         core=core, h=h, algo=name,
         visits=counter.visits, bfs_calls=counter.bfs_calls,
         runtime_s=time.monotonic() - t0,
-        extra={"intervals": intervals, "ub": ub, "lb2": lb2},
+        extra={"intervals": intervals, "ub": ub, "lb2": lb2, "peel": peel},
     )
 
 
 def _run_intervals_spark(
     spark, g: Graph, h: int, intervals: list[tuple[int, int]],
-    ub: np.ndarray, lb2: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
+    ub: np.ndarray, lb2: np.ndarray, counter: Counter | None = None,
+) -> tuple[np.ndarray, dict[str, int]]:
     """Paper §4.6 option 1: run each interval as an independent Spark task.
 
     Each task re-derives its V[kmin] from the broadcast UB vector, runs
@@ -221,13 +232,20 @@ def _run_intervals_spark(
     are simply left for the task owning their interval. The union over tasks
     is the full decomposition (tested equal to the sequential mode).
 
-    Each task also emits one row with ``v = -1`` carrying its visits and BFS
-    calls. Returns ``(core, visits, bfs_calls)``; raises RuntimeError unless
-    every interval reported and every vertex was assigned by exactly one task.
+    Each task counts its work on a :class:`Counter` holding what is left of
+    ``counter``'s visit budget and deadline, and emits one row with
+    ``v = -1`` carrying its visits, BFS calls, peel event mix, and whether
+    it ran out of budget. Raises :class:`BudgetExceeded` if any task ran out;
+    otherwise merges the tasks' work into ``counter``, raises RuntimeError
+    unless every interval reported and every vertex was assigned by exactly
+    one task, and returns ``(core, peel)``.
     """
     import pandas as pd
 
     n = g.n
+    counter = counter if counter is not None else Counter()
+    budget = None if counter.visit_budget is None else counter.visit_budget - counter.visits
+    seconds = None if counter.deadline is None else counter.deadline - time.monotonic()
     idf = spark.createDataFrame(
         pd.DataFrame(
             {
@@ -241,41 +259,51 @@ def _run_intervals_spark(
     b_adj = sc.broadcast(pack_adjacency(g.adjacency))
     b_ub = sc.broadcast(ub.tolist())
     b_lb2 = sc.broadcast(lb2.tolist())
+    work = ("visits", "bfs_calls", *PEEL_EVENTS, "over_budget")
 
     def run_one(pdf: pd.DataFrame) -> pd.DataFrame:
         A_task = unpack_adjacency(b_adj.value, n)
         ub_t = np.asarray(b_ub.value, dtype=np.int64)
         lb2_t = np.asarray(b_lb2.value, dtype=np.int64)
-        counter = Counter()
+        task = Counter(visit_budget=budget, deadline=timed_deadline(seconds))
+        done = dict.fromkeys(work, 0)
         out_v: list[int] = []
         out_c: list[int] = []
-        for row in pdf.itertuples(index=False):
-            kmin, kmax = int(row.kmin), int(row.kmax)
-            core_t = np.zeros(n, dtype=np.int64)
-            assigned_t = np.zeros(n, dtype=bool)
-            lb3_t = np.zeros(n, dtype=np.int64)
-            _run_interval(
-                A_task, h, kmin, kmax, ub_t, lb2_t, core_t, assigned_t,
-                lb3_t, counter,
-            )
-            for v in np.flatnonzero(assigned_t):
-                out_v.append(int(v))
-                out_c.append(int(core_t[v]))
+        try:
+            for row in pdf.itertuples(index=False):
+                kmin, kmax = int(row.kmin), int(row.kmax)
+                core_t = np.zeros(n, dtype=np.int64)
+                assigned_t = np.zeros(n, dtype=bool)
+                lb3_t = np.zeros(n, dtype=np.int64)
+                events = _run_interval(
+                    A_task, h, kmin, kmax, ub_t, lb2_t, core_t, assigned_t,
+                    lb3_t, task,
+                )
+                for key, count in events.items():
+                    done[key] += count
+                for v in np.flatnonzero(assigned_t):
+                    out_v.append(int(v))
+                    out_c.append(int(core_t[v]))
+        except BudgetExceeded:
+            done["over_budget"] = 1
+        done["visits"], done["bfs_calls"] = task.visits, task.bfs_calls
         pad = [0] * len(out_v)
-        return pd.DataFrame({
-            "v": out_v + [-1], "core": out_c + [-1],
-            "visits": pad + [counter.visits], "bfs_calls": pad + [counter.bfs_calls],
-        }, dtype="int64")
+        cols = {key: pad + [count] for key, count in done.items()}
+        return pd.DataFrame({"v": out_v + [-1], "core": out_c + [-1], **cols}, dtype="int64")
 
     try:
         rows = (
             idf.groupBy("iid")
-            .applyInPandas(run_one, schema="v long, core long, visits long, bfs_calls long")
+            .applyInPandas(run_one, schema=", ".join(f"{c} long" for c in ("v", "core", *work)))
             .toPandas()
         )
     finally:
         for b in (b_adj, b_ub, b_lb2):
             b.destroy()
+    over = int(rows["over_budget"].sum())
+    if over:
+        raise BudgetExceeded(f"{over} of {len(intervals)} interval tasks ran out of budget")
+    counter.merge_batch(int(rows["visits"].sum()), int(rows["bfs_calls"].sum()))
     v = rows["v"].to_numpy()
     tasks = v < 0
     times = np.bincount(v[~tasks], minlength=n)
@@ -287,4 +315,4 @@ def _run_intervals_spark(
         )
     core = np.zeros(n, dtype=np.int64)
     core[v[~tasks]] = rows["core"].to_numpy()[~tasks]
-    return core, int(rows["visits"].sum()), int(rows["bfs_calls"].sum())
+    return core, {key: int(rows[key].sum()) for key in PEEL_EVENTS}

@@ -19,7 +19,8 @@ class CoreResult:
         runtime_s: wall-clock seconds of the run.
         order: vertex removal (peel) order when the algorithm produces a
             single global peeling (h-BZ and h-LB do; h-LB+UB does not).
-        extra: algorithm-specific diagnostics (bounds, partition count, ...).
+        extra: algorithm-specific diagnostics (bounds, partition count, the
+            peel event mix under "peel", ...).
     """
 
     core: np.ndarray

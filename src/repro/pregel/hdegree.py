@@ -58,8 +58,14 @@ def h_degrees_spark(
     alive: np.ndarray,
     h: int,
     chunk_partitions: int | None = None,
+    adjacency=None,
 ) -> tuple[np.ndarray, int, int]:
     """Batch h-degrees of all alive vertices via mapInPandas fan-out.
+
+    Args:
+        adjacency: a broadcast of ``pack_adjacency(A)`` that the caller owns
+            and reuses across calls; without one, ``A`` is broadcast for this
+            call only.
 
     Returns ``(degrees, visits, bfs_calls)`` where visits/bfs_calls account
     the remote BFS work for the caller's Counter (paper's Table-3 metric).
@@ -73,7 +79,7 @@ def h_degrees_spark(
         int(sc.defaultParallelism), max(1, len(ids) // 64)
     )
     vdf = spark.createDataFrame(pd.DataFrame({"v": ids})).repartition(parts)
-    b_adj = sc.broadcast(pack_adjacency(A))
+    b_adj = adjacency if adjacency is not None else sc.broadcast(pack_adjacency(A))
     b_alive = sc.broadcast(np.packbits(alive).tobytes())
 
     def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -97,8 +103,10 @@ def h_degrees_spark(
     try:
         out = vdf.mapInPandas(compute, schema="v long, hdeg long, visits long").toPandas()
     finally:
-        b_adj.destroy()
+        if adjacency is None:
+            b_adj.destroy()
         b_alive.destroy()
     degrees = np.zeros(n, dtype=np.int64)
     degrees[out["v"].to_numpy()] = out["hdeg"].to_numpy()
     return degrees, int(out["visits"].sum()), len(out)
+

@@ -9,7 +9,9 @@ removes nothing, k advances. Equivalent to sequential peeling because the
 fix-point.
 
 h-degrees per superstep come from the Spark mapInPandas batch
-(:func:`repro.pregel.hdegree.h_degrees_spark`) or the local kernel.
+(:func:`repro.pregel.hdegree.h_degrees_spark`) or the local kernel. With
+Spark, the adjacency is broadcast once per decomposition and each superstep
+ships only its alive mask.
 """
 from __future__ import annotations
 
@@ -17,10 +19,9 @@ import time
 
 import numpy as np
 
-from repro.core.bounds import batch_h_degrees
-from repro.core.kernels import Counter
+from repro.core.kernels import Counter, all_h_degrees
 from repro.core.types import CoreResult
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, pack_adjacency
 
 
 def kh_core_bsp(
@@ -37,23 +38,36 @@ def kh_core_bsp(
     alive = np.ones(n, dtype=bool)
     core = np.zeros(n, dtype=np.int64)
     rounds = 0
+    b_adj = None
+    if spark is not None:
+        from repro.pregel import hdegree
+
+        b_adj = spark.sparkContext.broadcast(pack_adjacency(A))
 
     def degrees() -> np.ndarray:
         nonlocal rounds
         rounds += 1
-        return batch_h_degrees(A, alive, h, counter, spark)
+        if spark is None:
+            return all_h_degrees(A, alive, h, counter)
+        degs, visits, calls = hdegree.h_degrees_spark(spark, A, alive, h, adjacency=b_adj)
+        counter.merge_batch(visits, calls)
+        return degs
 
-    degs = degrees()
-    k = 1
-    while alive.any():
-        drop = alive & (degs < k)
-        if drop.any():
-            core[drop] = k - 1
-            alive &= ~drop
-            if alive.any():
-                degs = degrees()
-        else:
-            k += 1
+    try:
+        degs = degrees()
+        k = 1
+        while alive.any():
+            drop = alive & (degs < k)
+            if drop.any():
+                core[drop] = k - 1
+                alive &= ~drop
+                if alive.any():
+                    degs = degrees()
+            else:
+                k += 1
+    finally:
+        if b_adj is not None:
+            b_adj.destroy()
     return CoreResult(
         core=core,
         h=h,

@@ -3,7 +3,7 @@ brute-force reference, classic-core reduction at h=1, and hand-built cases."""
 import numpy as np
 import pytest
 
-from repro.core import h_bz, h_lb, h_lb_ub
+from repro.core import BudgetExceeded, Counter, h_bz, h_lb, h_lb_ub
 from repro.core.reference import (
     brute_force_cores,
     classic_core_decomposition,
@@ -46,6 +46,82 @@ RNPA_WORK = {
 def test_rnpa_work_matches_table3(algo, h):
     res = ALGOS[algo](load("rnPA"), h)
     assert (res.visits, res.bfs_calls) == RNPA_WORK[h][algo]
+
+
+# (visits, bfs_calls) on FBco at h=2, a dense graph whose peels recompute
+# dozens of neighbours per deletion in one multi-source batch. Visits as
+# results/table3_efficiency.txt reports them; BFS calls as one h-BFS per
+# source makes them.
+FBCO_H2_WORK = {
+    "h-BZ": (84_649_229, 35_829),
+    "h-LB": (24_183_841, 12_424),
+    "h-LB+UB": (38_420_650, 16_944),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_fbco_work_matches_table3(algo):
+    res = ALGOS[algo](load("FBco"), 2)
+    assert (res.visits, res.bfs_calls) == FBCO_H2_WORK[algo]
+
+
+def _multi_source_spy(monkeypatch):
+    """Count the recompute batches that run as one multi-source BFS."""
+    import repro.core.kernels as kernels
+
+    runs = []
+    real = kernels._multi_source_counts
+
+    def spy(A, sources, alive, h, counter=None):
+        runs.append(len(sources))
+        return real(A, sources, alive, h, counter)
+
+    monkeypatch.setattr(kernels, "_multi_source_counts", spy)
+    return runs
+
+
+@pytest.mark.parametrize("algo", ["h-BZ", "h-LB"])
+def test_visit_budget_in_batched_peel(algo, monkeypatch):
+    """A budget one visit short of the run's work stops it; an exact one does
+    not, although a batched peel checks the budget once per batch."""
+    fn = h_bz if algo == "h-BZ" else h_lb
+    g = small_graph("er-dense", 1)
+    runs = _multi_source_spy(monkeypatch)
+    total = fn(g, 3).visits
+    assert runs, "no recompute batch ran as one multi-source BFS"
+    with pytest.raises(BudgetExceeded):
+        fn(g, 3, counter=Counter(visit_budget=total - 1))
+    assert fn(g, 3, counter=Counter(visit_budget=total)).visits == total
+
+
+@pytest.mark.parametrize("algo", ["h-LB", "h-LB+UB"])
+@pytest.mark.parametrize("model", ["er-dense", "ba", "grid"])
+def test_peel_event_mix_accounts_for_peel_bfs(algo, model, monkeypatch):
+    """Each lazy pop, peel and recompute is one h-BFS of the peel, and
+    extra["peel"] sums the event mix over every CoreDecomp call."""
+    import repro.core.hlb as hlb
+    import repro.core.hlbub as hlbub
+    from repro.core.decomp import PEEL_EVENTS, core_decomp
+
+    module = hlb if algo == "h-LB" else hlbub
+    mixes = []
+
+    def spy(*args, **kwargs):
+        before = kwargs["counter"].bfs_calls
+        events = core_decomp(*args, **kwargs)
+        lazy, peels, recomputes = (events[k] for k in ("lazy_pops", "peels", "recomputes"))
+        assert lazy + peels + recomputes == kwargs["counter"].bfs_calls - before
+        mixes.append(events)
+        return events
+
+    monkeypatch.setattr(module, "core_decomp", spy)
+    g = small_graph(model, 2)
+    res = ALGOS[algo](g, 3)
+    assert mixes
+    assert res.extra["peel"] == {k: sum(m[k] for m in mixes) for k in PEEL_EVENTS}
+    assert res.extra["peel"]["batches"] <= res.extra["peel"]["peels"]
+    if algo == "h-LB":
+        assert res.extra["peel"]["peels"] == g.n
 
 
 @pytest.mark.parametrize("algo", sorted(ALGOS))

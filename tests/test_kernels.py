@@ -1,5 +1,6 @@
-"""BFS kernels: reach masks, exact-distance masks, counters, budgets, level
-BFS, components, and the rule that no other module walks the adjacency."""
+"""BFS kernels: reach masks, exact-distance masks, counters, budgets, the
+multi-source batch, level BFS, components, and the rule that no other module
+walks the adjacency."""
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from repro.core.kernels import (
     BudgetExceeded,
     Counter,
+    _multi_source_counts,
     all_h_degrees,
+    batch_pays,
+    batch_reach_counts,
     bfs_levels,
     bounded_reach,
     components,
@@ -102,6 +106,71 @@ def test_deadline_raises(clique_graph):
     c = Counter(deadline=0.0)  # already in the past
     with pytest.raises(BudgetExceeded):
         bounded_reach(A, 0, alive, 2, c)
+
+
+def _reach_loop(A, sources, alive, h):
+    """Per-source h-degrees and the Counter of a bounded_reach loop."""
+    c = Counter()
+    degs = [int(bounded_reach(A, int(s), alive, h, c)[0].sum()) for s in sources]
+    return degs, c
+
+
+BATCH_KERNELS = {"multi-source": _multi_source_counts, "dispatched": batch_reach_counts}
+
+
+@pytest.mark.parametrize("kernel", sorted(BATCH_KERNELS))
+@pytest.mark.parametrize("model", ["er", "er-dense", "ba", "ws", "grid"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batch_reach_counts_match_bounded_reach(kernel, model, seed):
+    """Same h-degree per source, same summed visits, one BFS call per source,
+    over random alive masks and source sets (dead sources included)."""
+    g = small_graph(model, seed)
+    A = g.adjacency
+    rng = np.random.default_rng(seed)
+    for h in range(5):
+        for _ in range(4):
+            alive = rng.random(g.n) < rng.uniform(0.3, 1.0)
+            sources = np.flatnonzero(rng.random(g.n) < rng.uniform(0.05, 0.6))
+            degs, ref = _reach_loop(A, sources, alive, h)
+            c = Counter(visits=7, bfs_calls=3)
+            got = BATCH_KERNELS[kernel](A, sources, alive, h, c)
+            assert got.tolist() == degs, (h, sources)
+            assert (c.visits - 7, c.bfs_calls - 3) == (ref.visits, len(sources))
+
+
+@pytest.mark.parametrize("kernel", sorted(BATCH_KERNELS))
+def test_batch_reach_counts_edge_cases(kernel, path_graph):
+    A = path_graph.adjacency
+    fn = BATCH_KERNELS[kernel]
+    alive = np.array([True, True, False, True, True])
+    c = Counter()
+    assert fn(A, np.array([], dtype=np.int64), alive, 2, c).tolist() == []
+    assert (c.visits, c.bfs_calls) == (0, 0)
+    # A dead source (2), adjacent sources (0 and 1, 3 and 4), a repeated one (4).
+    for sources in ([2, 1, 3], [0, 1], [1, 0, 4, 3], [4, 4, 2]):
+        for h in range(5):
+            degs, ref = _reach_loop(A, sources, alive, h)
+            c = Counter()
+            assert fn(A, np.array(sources), alive, h, c).tolist() == degs, (sources, h)
+            assert (c.visits, c.bfs_calls) == (ref.visits, len(sources))
+
+
+def test_batch_pays_rule():
+    assert not batch_pays(0, 10_000) and not batch_pays(1, 10_000)
+    assert not batch_pays(2, 600) and batch_pays(2, 1_000)
+    assert batch_pays(3, 10) and batch_pays(64, 10_000)
+
+
+def test_multi_source_budget_checked_after_batch(clique_graph):
+    """One multi-source BFS charges its whole batch, then checks the budget."""
+    A = clique_graph.adjacency
+    alive = np.ones(6, dtype=bool)
+    c = Counter(visit_budget=6)
+    with pytest.raises(BudgetExceeded):
+        _multi_source_counts(A, np.arange(6), alive, 1, c)
+    assert (c.visits, c.bfs_calls) == (30, 6)
+    c = Counter(visit_budget=30)
+    assert _multi_source_counts(A, np.arange(6), alive, 1, c).tolist() == [5] * 6
 
 
 def test_distance_matrix_path(path_graph):

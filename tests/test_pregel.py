@@ -135,6 +135,73 @@ def test_hlbub_spark_intervals_counts_task_work(spark, h):
     assert (res.visits, res.bfs_calls) == (c.visits, c.bfs_calls)
 
 
+def test_hlbub_spark_intervals_obey_visit_budget(spark):
+    """Interval tasks get what is left of the caller's visit budget, stop when
+    it runs out, and the driver raises BudgetExceeded (not a task error)."""
+    from repro.core.bounds import batch_h_degrees, lower_bounds, upper_bound
+    from repro.core.kernels import BudgetExceeded, Counter
+
+    g = barabasi_albert(40, 2, seed=6)
+    A, c = g.adjacency, Counter()
+    deg0 = batch_h_degrees(A, np.ones(g.n, dtype=bool), 2, c)
+    lower_bounds(A, 2, c)
+    upper_bound(A, 2, c, init_h_degrees=deg0)
+    counter = Counter(visit_budget=c.visits + 10)
+    with pytest.raises(BudgetExceeded, match="interval tasks ran out of budget"):
+        h_lb_ub(g, 2, s=2, spark=spark, parallel="intervals", counter=counter)
+
+
+def test_hlbub_spark_intervals_obey_deadline(spark):
+    import time
+
+    from repro.core.hlbub import _run_intervals_spark
+    from repro.core.kernels import BudgetExceeded, Counter
+
+    g = barabasi_albert(40, 2, seed=6)
+    res = h_lb_ub(g, 2, s=2)
+    intervals, ub, lb2 = res.extra["intervals"], res.extra["ub"], res.extra["lb2"]
+    counter = Counter(deadline=time.monotonic() + 3600)
+    _run_intervals_spark(spark, g, 2, intervals, ub, lb2, counter)
+    assert counter.bfs_calls > 0
+    with pytest.raises(BudgetExceeded, match="interval tasks ran out of budget"):
+        _run_intervals_spark(spark, g, 2, intervals, ub, lb2, Counter(deadline=0.0))
+
+
+def test_hlbub_spark_intervals_report_peel_events(spark):
+    g = barabasi_albert(40, 2, seed=6)
+    local = h_lb_ub(g, 3, s=2)
+    dist = h_lb_ub(g, 3, s=2, spark=spark, parallel="intervals")
+    assert dist.extra["peel"]["peels"] >= local.extra["peel"]["peels"] > 0
+
+
+def test_bsp_with_spark_broadcasts_adjacency_once(spark, monkeypatch):
+    from pyspark.core.broadcast import Broadcast
+    from pyspark.core.context import SparkContext
+
+    from repro.graphs.graph import pack_adjacency
+
+    sizes, live = [], set()
+    real_broadcast, real_destroy = SparkContext.broadcast, Broadcast.destroy
+
+    def broadcast(sc, value):
+        b = real_broadcast(sc, value)
+        sizes.append(len(value))
+        live.add(id(b))
+        return b
+
+    def destroy(b, *args, **kwargs):
+        live.discard(id(b))
+        return real_destroy(b, *args, **kwargs)
+
+    monkeypatch.setattr(SparkContext, "broadcast", broadcast)
+    monkeypatch.setattr(Broadcast, "destroy", destroy)
+    g = erdos_renyi(20, 0.18, seed=5)
+    res = kh_core_bsp(g, 2, spark=spark)
+    assert sizes.count(len(pack_adjacency(g.adjacency))) == 1
+    assert len(sizes) == 1 + res.extra["supersteps"]  # then one alive mask each
+    assert not live
+
+
 def test_hlbub_spark_hdegree_matches(spark):
     g = erdos_renyi(30, 0.15, seed=7)
     ref = brute_force_cores(g, 2)
